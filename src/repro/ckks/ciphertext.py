@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from .rns import RnsPolynomial
 
@@ -15,10 +17,32 @@ class Plaintext:
     poly: RnsPolynomial
     scale: float
     level: int
+    _evaluation_form: Optional[Tuple[bool, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def poly_modulus_degree(self) -> int:
         return self.poly.basis.poly_modulus_degree
+
+    def evaluation_form(self) -> Tuple[bool, np.ndarray]:
+        """``(is_scalar, rows)``: the form :meth:`Evaluator.multiply_plain` consumes.
+
+        A constant polynomial (every coefficient past index 0 zero) yields its
+        residues as an ``(L, 1)`` column for a pointwise scalar product; any
+        other plaintext yields its forward NTT rows.  Computed once and cached
+        on the plaintext, so ``poly`` must not be mutated afterwards.
+        """
+        if self._evaluation_form is None:
+            residues = self.poly.residues
+            if not residues[:, 1:].any():
+                self._evaluation_form = (True, residues[:, :1].copy())
+            else:
+                rows = np.stack(
+                    [ntt.forward(row) for ntt, row in zip(self.poly.basis.ntt, residues)]
+                )
+                self._evaluation_form = (False, rows)
+        return self._evaluation_form
 
 
 @dataclass

@@ -66,14 +66,20 @@ class CkksEncoder:
             raise EncodingError(
                 f"input length {array.size} must divide the slot count {self.slots}"
             )
-        if array.size < self.slots:
-            array = np.tile(array, self.slots // array.size)
-        # Re(U^H a) == Re(conj(a) @ U): conjugating the length-N/2 vector
-        # avoids materializing conj(U).T — a fresh O(N^2) complex matrix per
-        # encode that profiling showed dominating lane-batched programs.
-        coeffs = (2.0 / self.poly_modulus_degree) * np.real(
-            np.conj(array) @ self.embedding
-        )
+        if not array.imag.any() and np.all(array == array[0]):
+            # A uniform real vector is the constant polynomial c: its other
+            # coefficients vanish analytically, so skip the O(N^2) embedding.
+            coeffs = np.zeros(self.poly_modulus_degree)
+            coeffs[0] = array[0].real
+        else:
+            if array.size < self.slots:
+                array = np.tile(array, self.slots // array.size)
+            # Re(U^H a) == Re(conj(a) @ U): conjugating the length-N/2 vector
+            # avoids materializing conj(U).T — a fresh O(N^2) complex matrix per
+            # encode that profiling showed dominating lane-batched programs.
+            coeffs = (2.0 / self.poly_modulus_degree) * np.real(
+                np.conj(array) @ self.embedding
+            )
         scaled = coeffs * float(scale)
         max_coeff = float(np.max(np.abs(scaled))) if scaled.size else 0.0
         if max_coeff >= 2**62:

@@ -137,8 +137,30 @@ class Evaluator:
         return Ciphertext([c0, c1, c2], a.scale * b.scale, a.level)
 
     def multiply_plain(self, a: Ciphertext, p: Plaintext) -> Ciphertext:
+        """Multiply by a plaintext through its cached evaluation form.
+
+        A constant plaintext costs one pointwise multiply per polynomial and
+        no transforms; any other costs a forward and an inverse NTT per prime
+        per polynomial.  Both are bit-exact with ``RnsPolynomial.multiply``.
+        """
         self._check_plain(a, p)
-        polys = [poly.multiply(p.poly) for poly in a.polys]
+        basis = a.basis
+        if basis != p.poly.basis:
+            raise ParameterError("plaintext and ciphertext have different RNS bases")
+        scalar, form = p.evaluation_form()
+        primes = basis.primes_column
+        polys = []
+        for poly in a.polys:
+            if scalar:
+                residues = poly.residues * form % primes
+            else:
+                residues = np.stack(
+                    [
+                        ntt.inverse(ntt.forward(row) * form_row % ntt.prime)
+                        for ntt, row, form_row in zip(basis.ntt, poly.residues, form)
+                    ]
+                )
+            polys.append(RnsPolynomial(basis, residues))
         return Ciphertext(polys, a.scale * p.scale, a.level)
 
     def square(self, a: Ciphertext) -> Ciphertext:

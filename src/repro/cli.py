@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 from typing import Any, Dict
@@ -188,6 +189,27 @@ def _fairness_policy(args):
     )
 
 
+def _serve_until_stopped(tcp, close, banner: Dict[str, Any]) -> int:
+    """Print the ready ``banner``, serve until Ctrl-C or SIGTERM, then stop
+    the listener and ``close``.
+
+    SIGTERM raises KeyboardInterrupt like Ctrl-C, so a terminated server still
+    unwinds through ``close`` and stops its shard processes.  The handler is
+    in place before the banner, so a caller that has read it may SIGTERM.
+    """
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        print(json.dumps(banner), flush=True)
+        tcp.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+        tcp.shutdown()
+        close()
+    return 0
+
+
 def _serve_single(args, options, programs) -> int:
     from .serving import (
         ArtifactCache,
@@ -232,25 +254,13 @@ def _serve_single(args, options, programs) -> int:
         frontdoor=args.frontdoor,
     )
     host, port = tcp.address
-    print(
-        json.dumps(
-            {
-                "serving": f"{host}:{port}",
-                "programs": server.programs(),
-                "session_dir": args.session_dir,
-                "artifact_dir": args.artifact_dir,
-            }
-        ),
-        flush=True,
-    )
-    try:
-        tcp.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
-    finally:
-        tcp.shutdown()
-        server.close()
-    return 0
+    banner = {
+        "serving": f"{host}:{port}",
+        "programs": server.programs(),
+        "session_dir": args.session_dir,
+        "artifact_dir": args.artifact_dir,
+    }
+    return _serve_until_stopped(tcp, server.close, banner)
 
 
 def _serve_cluster(args, options, programs, config=None) -> int:
@@ -301,26 +311,14 @@ def _serve_cluster(args, options, programs, config=None) -> int:
         frontdoor=args.frontdoor,
     )
     host, port = tcp.address
-    print(
-        json.dumps(
-            {
-                "serving": f"{host}:{port}",
-                "programs": sorted(programs),
-                "shards": cluster.shard_infos(),
-                "session_dir": args.session_dir,
-                "artifact_dir": args.artifact_dir,
-            }
-        ),
-        flush=True,
-    )
-    try:
-        tcp.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
-    finally:
-        tcp.shutdown()
-        cluster.close()
-    return 0
+    banner = {
+        "serving": f"{host}:{port}",
+        "programs": sorted(programs),
+        "shards": cluster.shard_infos(),
+        "session_dir": args.session_dir,
+        "artifact_dir": args.artifact_dir,
+    }
+    return _serve_until_stopped(tcp, cluster.close, banner)
 
 
 def cmd_submit(args: argparse.Namespace) -> int:

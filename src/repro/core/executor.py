@@ -9,8 +9,8 @@ Three layers are provided, mirroring the paper's asymmetric deployment model
   every backend execution is compared against.
 * :class:`EvaluationEngine` is the server half of execution: it schedules the
   instruction DAG of a *compiled* program over ciphertext handles, encoding
-  plaintext operands at the level and scale their consumers require and
-  recycling ciphertext memory as soon as a value is dead (retired).  It never
+  each compile-time constant once at the level and scale its consumer requires
+  and recycling ciphertext memory as soon as a value is dead (retired).  It never
   encrypts and never decrypts — it only needs a backend context holding
   evaluation keys (see :meth:`repro.backend.hisa.BackendContext.evaluation_context`).
 * :class:`Executor` is the one-process convenience wrapper kept for
@@ -123,10 +123,14 @@ class EvaluationEngine:
     """Schedule a compiled program's DAG over ciphertext handles.
 
     The engine holds everything evaluation needs that is *independent of key
-    material*: the compiled program, the per-term scale analysis, and the
-    thread count.  Ciphertext inputs arrive as backend handles keyed by input
-    name; the engine returns output handles without ever touching a secret
-    key, which is what lets a server evaluate on data it cannot read.
+    material*: the compiled program, the per-term scale analysis, the thread
+    count, and the encoded constants.  A plain operand computed from constants
+    alone is encoded once per (scale, level) its consumers need and then
+    shared by every evaluation and every session on this engine; plaintext
+    Vector inputs are encoded on every use.  Ciphertext inputs arrive as
+    backend handles keyed by input name; the engine returns output handles
+    without ever touching a secret key, which is what lets a server evaluate
+    on data it cannot read.
     """
 
     def __init__(
@@ -149,6 +153,16 @@ class EvaluationEngine:
         self.retire_inputs = retire_inputs
         self.program = compilation.program
         self._scales = compute_scales(self.program)
+        #: Plain terms computed from constants alone (no Vector input).
+        self._constant_ids = set()
+        for term in self.program.terms():
+            if not term.is_input and term.value_type is not ValueType.CIPHER and all(
+                arg.id in self._constant_ids for arg in term.args
+            ):
+                self._constant_ids.add(term.id)
+        #: Encoded plaintexts keyed by (term id, scale bits, level); shared by
+        #: every context this engine evaluates on.
+        self._constants: Dict[Tuple[int, float, int], Any] = {}
 
     # -- public API -------------------------------------------------------------
     # Input classification walks terms() rather than the inputs dict: an
@@ -414,10 +428,9 @@ class EvaluationEngine:
                 return context.multiply(cipher(0), cipher(1))
             cipher_idx, plain_idx = (0, 1) if is_cipher(0) else (1, 0)
             handle = cipher_values[args[cipher_idx].id]
-            plain = context.encode(
-                plain_values[args[plain_idx].id],
-                self._scales[args[plain_idx].id],
-                level=context.level(handle),
+            plain = self._encode_operand(
+                context, args[plain_idx], plain_values,
+                self._scales[args[plain_idx].id], context.level(handle),
             )
             return context.multiply_plain(handle, plain)
         if op in (Op.ADD, Op.SUB):
@@ -427,15 +440,31 @@ class EvaluationEngine:
                 )
             cipher_idx, plain_idx = (0, 1) if is_cipher(0) else (1, 0)
             handle = cipher_values[args[cipher_idx].id]
-            plain = context.encode(
-                plain_values[args[plain_idx].id],
-                context.scale_bits(handle),
-                level=context.level(handle),
+            plain = self._encode_operand(
+                context, args[plain_idx], plain_values,
+                context.scale_bits(handle), context.level(handle),
             )
             if op is Op.ADD:
                 return context.add_plain(handle, plain)
             return context.sub_plain(handle, plain, reverse=(plain_idx == 0))
         raise ExecutionError(f"unsupported ciphertext opcode {op.name}")
+
+    def _encode_operand(
+        self,
+        context: BackendContext,
+        term: Term,
+        plain_values: Dict[int, np.ndarray],
+        scale_bits: float,
+        level: int,
+    ) -> Any:
+        """Encode a plain operand; request-independent ones only once."""
+        key = (term.id, scale_bits, level)
+        plain = self._constants.get(key)
+        if plain is None:
+            plain = context.encode(plain_values[term.id], scale_bits, level=level)
+            if term.id in self._constant_ids:
+                plain = self._constants.setdefault(key, plain)
+        return plain
 
     def _retire_args(
         self,

@@ -9,9 +9,15 @@ compiler's output runs on genuine ciphertexts with the expected accuracy.
 import numpy as np
 import pytest
 
+from repro.api import ClientKit, CompiledProgram, ServerRuntime
+from repro.apps.regression import (
+    build_linear_regression_program,
+    reference_linear_regression,
+)
 from repro.backend import CkksBackend
+from repro.ckks.ntt import NttContext
 from repro.core import CompilerOptions, Executor, execute_reference
-from repro.frontend import EvaProgram, input_encrypted, output
+from repro.frontend import EvaProgram, constant, input_encrypted, input_plain, output
 
 OPTIONS = CompilerOptions(max_rescale_bits=25)
 
@@ -67,3 +73,112 @@ class TestCkksBackendExecution:
         executor = Executor(compiled, CkksBackend(seed=2))
         with pytest.raises(Exception):
             executor.execute({"x": np.linspace(-1, 1, 64)})
+
+
+class TestConstantCache:
+    """The engine encodes each compile-time constant once per program."""
+
+    @staticmethod
+    def _session(compiled, runtime, client_id, seed):
+        kit = ClientKit(compiled, backend=CkksBackend(seed=seed), client_id=client_id)
+        runtime.attach_client(client_id, kit.export_evaluation_keys())
+        return kit
+
+    @staticmethod
+    def _constants_program():
+        program = EvaProgram("consts", vec_size=64, default_scale=25)
+        with program:
+            x = input_encrypted("x", 25)
+            mask = constant([1.0, 0.0, 0.0, 1.0] * 16, 25)
+            output("y", (x * 0.5) * mask + (x << 1) * x + 1.0, 25)
+        return CompiledProgram.compile(program, options=OPTIONS)
+
+    def _expected(self, xv):
+        mask = np.array([1.0, 0.0, 0.0, 1.0] * 16)
+        return xv * 0.5 * mask + np.roll(xv, -1) * xv + 1.0
+
+    def test_second_evaluation_encodes_nothing(self):
+        compiled = self._constants_program()
+        runtime = ServerRuntime(compiled, backend=CkksBackend(seed=5))
+        kit = self._session(compiled, runtime, "alice", seed=5)
+        xv = np.linspace(-1, 1, 64)
+        bundle = kit.encrypt_inputs({"x": xv})
+        context = runtime.client_context("alice")
+        first = kit.decrypt_outputs(runtime.evaluate(bundle))["y"]
+        assert context.drain_op_times()["encode"][0] > 0
+        second = kit.decrypt_outputs(runtime.evaluate(bundle))["y"]
+        assert "encode" not in context.drain_op_times()
+        assert np.array_equal(first, second)
+        assert np.max(np.abs(second - self._expected(xv))) < 0.05
+
+    def test_sessions_share_entries(self):
+        compiled = self._constants_program()
+        runtime = ServerRuntime(compiled, backend=CkksBackend(seed=5))
+        xv = np.linspace(-1, 1, 64)
+        kits = [
+            self._session(compiled, runtime, name, seed)
+            for name, seed in (("alice", 11), ("bob", 12))
+        ]
+        sizes = []
+        for kit in kits:
+            outputs = kit.decrypt_outputs(runtime.evaluate(kit.encrypt_inputs({"x": xv})))
+            assert np.max(np.abs(outputs["y"] - self._expected(xv))) < 0.05
+            sizes.append(len(runtime.engine._constants))
+        assert sizes[0] > 0 and sizes[1] == sizes[0]
+        assert "encode" not in runtime.client_context("bob").drain_op_times()
+
+    def test_threads_match_serial(self):
+        compiled = self._constants_program()
+        xv = np.linspace(-1, 1, 64)
+        outputs = []
+        for threads in (1, 2):
+            runtime = ServerRuntime(compiled, backend=CkksBackend(seed=5), threads=threads)
+            kit = self._session(compiled, runtime, "alice", seed=5)
+            bundle = kit.encrypt_inputs({"x": xv})
+            runtime.evaluate(bundle)
+            outputs.append(kit.decrypt_outputs(runtime.evaluate(bundle))["y"])
+        assert np.array_equal(outputs[0], outputs[1])
+
+    def test_plain_vector_input_is_not_cached(self):
+        program = EvaProgram("weights", vec_size=64, default_scale=25)
+        with program:
+            x = input_encrypted("x", 25)
+            w = input_plain("w", 25)
+            output("y", x * w + 0.25, 25)
+        compiled = CompiledProgram.compile(program, options=OPTIONS)
+        runtime = ServerRuntime(compiled, backend=CkksBackend(seed=5))
+        kit = self._session(compiled, runtime, "alice", seed=5)
+        xv = np.linspace(-1, 1, 64)
+        for wv in (np.full(64, 0.5), np.linspace(1, -1, 64)):
+            bundle = kit.encrypt_inputs({"x": xv, "w": wv})
+            outputs = kit.decrypt_outputs(runtime.evaluate(bundle))
+            assert np.max(np.abs(outputs["y"] - (xv * wv + 0.25))) < 0.05
+
+    def test_steady_regression_runs_no_ntt(self, monkeypatch):
+        """Linear regression at N=4096 multiplies and adds only scalar
+        constants: once they are cached, evaluation needs no transform."""
+        compiled = CompiledProgram.compile(
+            build_linear_regression_program(vec_size=1024, scale=25),
+            options=OPTIONS,
+        )
+        assert compiled.parameters.poly_modulus_degree == 4096
+        runtime = ServerRuntime(compiled, backend=CkksBackend(seed=5))
+        kit = self._session(compiled, runtime, "alice", seed=5)
+        xv = np.linspace(-1, 1, 1024)
+        bundle = kit.encrypt_inputs({"x": xv})
+        runtime.evaluate(bundle)
+        transforms = []
+        for name in ("forward", "inverse"):
+            original = getattr(NttContext, name)
+
+            def counted(self, values, _original=original):
+                transforms.append(1)
+                return _original(self, values)
+
+            monkeypatch.setattr(NttContext, name, counted)
+        encrypted = runtime.evaluate(bundle)
+        monkeypatch.undo()
+        assert len(transforms) == 0
+        outputs = kit.decrypt_outputs(encrypted)
+        expected = reference_linear_regression(xv)
+        assert np.max(np.abs(outputs["prediction"] - expected)) < 0.02

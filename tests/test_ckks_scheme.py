@@ -10,7 +10,7 @@ from repro.ckks import (
     Evaluator,
     KeyGenerator,
 )
-from repro.ckks.encoder import CkksEncoder
+from repro.ckks.encoder import CkksEncoder, get_encoder
 from repro.ckks.numth import generate_ntt_primes
 from repro.ckks.rns import RnsBasis, RnsPolynomial
 from repro.errors import (
@@ -109,6 +109,26 @@ class TestEncoder:
         b = np.random.default_rng(2).uniform(-1, 1, encoder.slots)
         summed = encoder.encode(a, SCALE) + encoder.encode(b, SCALE)
         np.testing.assert_allclose(encoder.decode_real(summed, SCALE), a + b, atol=1e-3)
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_uniform_vector_matches_dense_embedding(self, n):
+        """A uniform real vector encodes as the constant polynomial, equal to
+        the rounded dense embedding for scales up to 40 bits."""
+        encoder = get_encoder(n)
+        rng = np.random.default_rng(n)
+        pairs = [(0.5, 2.0**25), (1.7, 2.0**30), (-0.3, 2.0**23), (0.0, 2.0**40)]
+        pairs += [
+            (float(rng.uniform(-8, 8)), 2.0 ** float(rng.uniform(20, 40)))
+            for _ in range(40)
+        ]
+        for value, scale in pairs:
+            uniform = np.full(encoder.slots, value, dtype=np.complex128)
+            dense = np.round(
+                (2.0 / n) * np.real(np.conj(uniform) @ encoder.embedding) * scale
+            ).astype(np.int64)
+            assert not dense[1:].any()
+            assert np.array_equal(encoder.encode(uniform.real, scale), dense)
+            assert np.array_equal(encoder.encode(value, scale), dense)
 
     def test_oversized_input_rejected(self):
         encoder = CkksEncoder(N)

@@ -35,6 +35,14 @@ def make_poly_program(name="poly", vec_size=32):
     return program
 
 
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 class TestConsistentHashRing:
     def test_same_client_always_routes_to_same_shard(self):
         ring = ConsistentHashRing((0, 1, 2, 3))
@@ -695,6 +703,12 @@ class TestClusterCli:
         finally:
             process.terminate()
             process.wait(20)
+        # SIGTERM unwinds through cluster.close(), so the surviving shard
+        # exits with the server instead of being orphaned.
+        deadline = time.monotonic() + 15
+        while _pid_alive(rerouted["pid"]) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not _pid_alive(rerouted["pid"])
 
 
 class TestClusterTelemetry:

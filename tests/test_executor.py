@@ -7,7 +7,7 @@ import pytest
 
 from repro.backend import MockBackend
 from repro.backend.mock_backend import MockContext
-from repro.core import Executor, ReferenceExecutor, execute_reference
+from repro.core import EvaluationEngine, Executor, ReferenceExecutor, execute_reference
 from repro.core.ir import Program
 from repro.core.types import Op, ValueType
 from repro.errors import ExecutionError
@@ -106,6 +106,51 @@ class TestBackendExecutor:
         compiled = program.compile()
         result = Executor(compiled, noiseless_backend).execute({"x": xv, "mask": mv})
         np.testing.assert_allclose(result["out"], xv * mv + mv, rtol=1e-9)
+
+    def test_constant_cache_shared_by_concurrent_evaluations(self, noiseless_backend):
+        """Threads evaluating on one engine with their own contexts all get
+        correct results and leave one cache entry per constant operand."""
+        import sys
+
+        program = EvaProgram("consts", vec_size=8, default_scale=25)
+        with program:
+            x = input_encrypted("x", 25)
+            output("out", x * 0.5 + x * x * 2.0 + 1.0, 25)
+        compiled = program.compile()
+        engine = EvaluationEngine(compiled, noiseless_backend, retire_inputs=False)
+        xv = np.linspace(-1, 1, 8)
+        errors = []
+
+        def worker():
+            try:
+                context = noiseless_backend.create_context(compiled.parameters)
+                context.generate_keys()
+                ciphers, plains = engine.encrypt_inputs(context, {"x": xv})
+                for _ in range(20):
+                    handles = engine.evaluate(context, ciphers, plains)
+                    got = context.decrypt(handles["out"])[:8]
+                    if not np.allclose(got, xv * 0.5 + xv * xv * 2.0 + 1.0):
+                        errors.append(got)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        serial = EvaluationEngine(compiled, noiseless_backend, retire_inputs=False)
+        context = noiseless_backend.create_context(compiled.parameters)
+        context.generate_keys()
+        serial.evaluate(context, *serial.encrypt_inputs(context, {"x": xv}))
+        assert engine._constants.keys() == serial._constants.keys()
 
     def test_subtraction_with_plain_on_left(self, noiseless_backend):
         program = EvaProgram("sub", vec_size=8, default_scale=25)

@@ -13,7 +13,9 @@ optimized paths can be pinned against them over randomized inputs:
 * ``Evaluator(fast_keyswitch=True)`` vs the coefficient-domain reference —
   **bit-exact** for relinearization, **noise-level** for hoisted rotations
   (digit lifting does not commute with the automorphism's sign flips, so
-  the two valid decompositions differ only under the noise floor).
+  the two valid decompositions differ only under the noise floor);
+* ``Evaluator.multiply_plain`` (scalar and NTT evaluation forms) vs
+  ``RnsPolynomial.multiply`` — **bit-exact**.
 """
 
 import numpy as np
@@ -29,6 +31,7 @@ from repro.ckks import (
 from repro.ckks.ntt import galois_ntt_permutation, get_ntt_context
 from repro.ckks.numth import generate_ntt_primes
 from repro.ckks.rns import RnsBasis, RnsPolynomial
+from repro.errors import ParameterError
 
 DRAWS = 5
 
@@ -213,3 +216,57 @@ class TestKeySwitchAgainstReference:
             fast = scheme["fast"].rotate(cipher, step)
             got = np.real(scheme["decryptor"].decrypt(fast))
             assert np.max(np.abs(got - np.roll(values, -step))) < 1e-2
+
+
+class TestMultiplyPlainAgainstReference:
+    N = 1024
+    SCALE = 2.0**24
+    PRIMES_BITS = [26, 26, 26, 30]
+
+    @pytest.fixture(scope="class")
+    def scheme(self):
+        context = CkksContext(self.N, self.PRIMES_BITS, enforce_security=False)
+        keygen = KeyGenerator(context, seed=4)
+        return {
+            "context": context,
+            "encryptor": Encryptor(context, keygen.create_public_key(), seed=5),
+            "evaluator": Evaluator(context),
+        }
+
+    def _plaintexts(self, encryptor, level):
+        slots = self.N // 2
+        mask = np.tile([1.0, 0.0, 0.0, 1.0], slots // 4)
+        return {
+            "scalar": encryptor.encode(-0.37, self.SCALE, level=level),
+            "mask": encryptor.encode(mask, self.SCALE, level=level),
+        }
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_both_forms_are_bit_exact(self, scheme, level):
+        rng = np.random.default_rng(level)
+        values = rng.uniform(-1.0, 1.0, self.N // 2)
+        cipher = scheme["encryptor"].encode_and_encrypt(values, self.SCALE, level=level)
+        for kind, plain in self._plaintexts(scheme["encryptor"], level).items():
+            scalar, _ = plain.evaluation_form()
+            assert scalar == (kind == "scalar")
+            # Twice: the second product reuses the cached form.
+            for _ in range(2):
+                product = scheme["evaluator"].multiply_plain(cipher, plain)
+                assert product.scale == cipher.scale * plain.scale
+                assert product.level == level
+                for got, poly in zip(product.polys, cipher.polys):
+                    want = poly.multiply(plain.poly)
+                    assert np.array_equal(got.residues, want.residues)
+
+    def test_plaintext_from_other_primes_is_rejected(self, scheme):
+        other = CkksContext(self.N, [27, 27, 27, 30], enforce_security=False)
+        other_encryptor = Encryptor(
+            other, KeyGenerator(other, seed=6).create_public_key(), seed=7
+        )
+        cipher = scheme["encryptor"].encode_and_encrypt(
+            np.ones(self.N // 2), self.SCALE
+        )
+        for plain in self._plaintexts(other_encryptor, 0).values():
+            assert plain.poly.basis != cipher.basis
+            with pytest.raises(ParameterError):
+                scheme["evaluator"].multiply_plain(cipher, plain)
