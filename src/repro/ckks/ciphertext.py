@@ -38,10 +38,7 @@ class Plaintext:
             if not residues[:, 1:].any():
                 self._evaluation_form = (True, residues[:, :1].copy())
             else:
-                rows = np.stack(
-                    [ntt.forward(row) for ntt, row in zip(self.poly.basis.ntt, residues)]
-                )
-                self._evaluation_form = (False, rows)
+                self._evaluation_form = (False, self.poly.ntt_rows())
         return self._evaluation_form
 
 

@@ -8,6 +8,7 @@ from ..errors import ExecutionError
 from .ciphertext import Ciphertext
 from .context import CkksContext
 from .keys import SecretKey
+from .rns import RnsPolynomial
 
 
 class Decryptor:
@@ -22,14 +23,16 @@ class Decryptor:
         if ciphertext.size < 2:
             raise ExecutionError("ciphertext is transparent or malformed")
         basis = ciphertext.basis
-        s = self.secret_key.poly_for(basis)
-        result = ciphertext.polys[0]
-        s_power = s
+        primes = basis.primes_column
+        s_rows = self.secret_key.ntt_for(basis)
+        # sum_{i>=1} c_i s^i accumulates in the NTT domain: one forward
+        # transform per c_i and a single inverse.
+        s_power = s_rows
+        total = np.zeros_like(s_rows)
         for index in range(1, ciphertext.size):
-            result = result.add(ciphertext.polys[index].multiply(s_power))
-            if index + 1 < ciphertext.size:
-                s_power = s_power.multiply(s)
-        return result
+            total = (total + ciphertext.polys[index].ntt_rows() * s_power) % primes
+            s_power = s_power * s_rows % primes
+        return ciphertext.polys[0].add(RnsPolynomial.from_ntt_rows(basis, total))
 
     def decrypt(self, ciphertext: Ciphertext) -> np.ndarray:
         """Decrypt and decode to a real-valued slot vector."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -10,7 +10,7 @@ from ..errors import ParameterError
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext
 from .keys import PublicKey
-from .rns import RnsPolynomial
+from .rns import RnsBasis, RnsPolynomial
 from .sampling import RlweSampler
 
 
@@ -26,6 +26,7 @@ class Encryptor:
         self.context = context
         self.public_key = public_key
         self.sampler = RlweSampler(seed)
+        self._public_rows: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = {}
 
     # -- encoding ------------------------------------------------------------------
     def encode(
@@ -46,14 +47,29 @@ class Encryptor:
         basis = self.context.data_basis(plaintext.level)
         if plaintext.poly.basis != basis:
             raise ParameterError("plaintext level does not match its polynomial basis")
-        pk_b = self.context.restrict(self.public_key.b, basis)
-        pk_a = self.context.restrict(self.public_key.a, basis)
+        pk_b, pk_a = self._public_key_rows(basis)
         u = self.sampler.ternary(basis)
         e0 = self.sampler.error(basis)
         e1 = self.sampler.error(basis)
-        c0 = pk_b.multiply(u).add(e0).add(plaintext.poly)
-        c1 = pk_a.multiply(u).add(e1)
+        # One transform of u serves both products.
+        u_rows = u.ntt_rows()
+        primes = basis.primes_column
+        c0 = RnsPolynomial.from_ntt_rows(basis, pk_b * u_rows % primes)
+        c0 = c0.add(e0).add(plaintext.poly)
+        c1 = RnsPolynomial.from_ntt_rows(basis, pk_a * u_rows % primes).add(e1)
         return Ciphertext(polys=[c0, c1], scale=plaintext.scale, level=plaintext.level)
+
+    def _public_key_rows(self, basis: RnsBasis) -> Tuple[np.ndarray, np.ndarray]:
+        """NTT rows of the public key ``(b, a)`` restricted to ``basis`` (cached)."""
+        key = tuple(basis.primes)
+        rows = self._public_rows.get(key)
+        if rows is None:
+            rows = tuple(
+                self.context.restrict(poly, basis).ntt_rows()
+                for poly in (self.public_key.b, self.public_key.a)
+            )
+            self._public_rows[key] = rows
+        return rows
 
     def encode_and_encrypt(
         self,

@@ -149,18 +149,11 @@ class Evaluator:
             raise ParameterError("plaintext and ciphertext have different RNS bases")
         scalar, form = p.evaluation_form()
         primes = basis.primes_column
-        polys = []
-        for poly in a.polys:
-            if scalar:
-                residues = poly.residues * form % primes
-            else:
-                residues = np.stack(
-                    [
-                        ntt.inverse(ntt.forward(row) * form_row % ntt.prime)
-                        for ntt, row, form_row in zip(basis.ntt, poly.residues, form)
-                    ]
-                )
-            polys.append(RnsPolynomial(basis, residues))
+        polys = [
+            RnsPolynomial(basis, poly.residues * form % primes) if scalar
+            else poly.multiply_ntt(form)
+            for poly in a.polys
+        ]
         return Ciphertext(polys, a.scale * p.scale, a.level)
 
     def square(self, a: Ciphertext) -> Ciphertext:
@@ -217,11 +210,10 @@ class Evaluator:
         n = key_basis.poly_modulus_degree
         rows = len(poly.basis)
         digit_ntts = np.empty((rows, len(key_basis), n), dtype=np.int64)
-        primes = key_basis.primes_column
         for j in range(rows):
-            digits = poly.residues[j][np.newaxis, :] % primes
-            for k, ntt in enumerate(key_basis.ntt):
-                digit_ntts[j, k] = ntt.forward(digits[k])
+            digit_ntts[j] = RnsPolynomial.from_int64_coefficients(
+                key_basis, poly.residues[j]
+            ).ntt_rows()
         if cache:
             self._hoist_cache[id(poly)] = (poly, level, digit_ntts)
             while len(self._hoist_cache) > _HOIST_CACHE_CAPACITY:
@@ -254,11 +246,8 @@ class Evaluator:
             pair = switching_key.pairs.get(q_j)
             if pair is None:
                 raise ParameterError(f"switching key is missing the digit for prime {q_j}")
-            b_j = self.context.restrict(pair[0], key_basis)
-            a_j = self.context.restrict(pair[1], key_basis)
-            for k, ntt in enumerate(key_basis.ntt):
-                b_ntt[j, k] = ntt.forward(b_j.residues[k])
-                a_ntt[j, k] = ntt.forward(a_j.residues[k])
+            b_ntt[j] = self.context.restrict(pair[0], key_basis).ntt_rows()
+            a_ntt[j] = self.context.restrict(pair[1], key_basis).ntt_rows()
         forms[cache_key] = (b_ntt, a_ntt)
         return b_ntt, a_ntt
 
@@ -279,22 +268,17 @@ class Evaluator:
         data_primes = tuple(context.data_basis(level).primes)
         b_ntt, a_ntt = self._key_evaluation_form(switching_key, key_basis, data_primes)
         primes = key_basis.primes_column
-        shape = (len(key_basis), key_basis.poly_modulus_degree)
-        acc0 = np.zeros(shape, dtype=np.int64)
-        acc1 = np.zeros(shape, dtype=np.int64)
+        unsigned = primes.view(np.uint64)
+        acc0 = np.zeros((len(key_basis), key_basis.poly_modulus_degree), dtype=np.uint64)
+        acc1 = np.zeros_like(acc0)
         for j in range(digit_ntts.shape[0]):
             digit = digit_ntts[j] if permutation is None else digit_ntts[j][:, permutation]
-            acc0 += digit * b_ntt[j] % primes
-            np.subtract(acc0, primes, out=acc0, where=acc0 >= primes)
-            acc1 += digit * a_ntt[j] % primes
-            np.subtract(acc1, primes, out=acc1, where=acc1 >= primes)
-        res0 = np.empty(shape, dtype=np.int64)
-        res1 = np.empty(shape, dtype=np.int64)
-        for k, ntt in enumerate(key_basis.ntt):
-            res0[k] = ntt.inverse(acc0[k])
-            res1[k] = ntt.inverse(acc1[k])
-        poly0 = RnsPolynomial(key_basis, res0)
-        poly1 = RnsPolynomial(key_basis, res1)
+            # Reduced terms keep each sum in [0, 2p): min(x, x - p) reduces it.
+            for acc, key_rows in ((acc0, b_ntt[j]), (acc1, a_ntt[j])):
+                acc += (digit * key_rows % primes).view(np.uint64)
+                np.minimum(acc, acc - unsigned, out=acc)
+        poly0 = RnsPolynomial.from_ntt_rows(key_basis, acc0.view(np.int64))
+        poly1 = RnsPolynomial.from_ntt_rows(key_basis, acc1.view(np.int64))
         return poly0.divide_and_round_last(), poly1.divide_and_round_last()
 
     def relinearize(self, a: Ciphertext) -> Ciphertext:

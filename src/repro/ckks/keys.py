@@ -30,6 +30,7 @@ class SecretKey:
 
     coefficients: np.ndarray
     _cache: Dict[Tuple[int, ...], RnsPolynomial] = field(default_factory=dict, repr=False)
+    _ntt_cache: Dict[Tuple[int, ...], np.ndarray] = field(default_factory=dict, repr=False)
 
     def poly_for(self, basis: RnsBasis) -> RnsPolynomial:
         """The secret key reduced into the given RNS basis (cached)."""
@@ -39,6 +40,15 @@ class SecretKey:
             poly = RnsPolynomial.from_int64_coefficients(basis, self.coefficients)
             self._cache[key] = poly
         return poly
+
+    def ntt_for(self, basis: RnsBasis) -> np.ndarray:
+        """:meth:`RnsPolynomial.ntt_rows` of :meth:`poly_for` (cached)."""
+        key = tuple(basis.primes)
+        rows = self._ntt_cache.get(key)
+        if rows is None:
+            rows = self.poly_for(basis).ntt_rows()
+            self._ntt_cache[key] = rows
+        return rows
 
 
 @dataclass
@@ -94,10 +104,10 @@ class KeyGenerator:
     # -- public key -----------------------------------------------------------------
     def create_public_key(self) -> PublicKey:
         basis = self.context.data_basis(0)
-        s = self.secret_key.poly_for(basis)
+        s_rows = self.secret_key.ntt_for(basis)
         a = self.sampler.uniform(basis)
         e = self.sampler.error(basis)
-        b = a.multiply(s).add(e).negate()
+        b = a.multiply_ntt(s_rows).add(e).negate()
         return PublicKey(b=b, a=a)
 
     # -- key switching keys ------------------------------------------------------------
@@ -105,7 +115,7 @@ class KeyGenerator:
         """Create a switching key from the key ``target`` (over the key basis) to ``s``."""
         context = self.context
         key_basis = context.key_basis(0)
-        s = self.secret_key.poly_for(key_basis)
+        s_rows = self.secret_key.ntt_for(key_basis)
         special = context.special_prime
         pairs: Dict[int, Tuple[RnsPolynomial, RnsPolynomial]] = {}
         prime_rows = {prime: i for i, prime in enumerate(key_basis.primes)}
@@ -115,7 +125,7 @@ class KeyGenerator:
             w = RnsPolynomial.zero(key_basis)
             row = prime_rows[q_j]
             w.residues[row] = (target.residues[row] * (special % q_j)) % q_j
-            b_j = w.sub(a_j.multiply(s)).sub(e_j)
+            b_j = w.sub(a_j.multiply_ntt(s_rows)).sub(e_j)
             pairs[q_j] = (b_j, a_j)
         return KeySwitchingKey(pairs)
 
@@ -123,7 +133,7 @@ class KeyGenerator:
         """Relinearization key: switches ``s^2`` back to ``s``."""
         key_basis = self.context.key_basis(0)
         s = self.secret_key.poly_for(key_basis)
-        s_squared = s.multiply(s)
+        s_squared = s.multiply_ntt(self.secret_key.ntt_for(key_basis))
         return RelinearizationKey(self._create_keyswitch_key(s_squared))
 
     def create_galois_keys(self, rotation_steps: Iterable[int]) -> GaloisKeys:

@@ -6,22 +6,49 @@ the negacyclic NTT: coefficients are pre-twisted by powers of a primitive
 ``N`` (whose root is ``psi^2``), multiplied point-wise, inverse-transformed,
 and post-twisted by powers of ``psi^{-1}``.
 
-All arithmetic is vectorized ``numpy`` ``int64``; the primes produced by
+The butterflies run vectorized over ``uint64``; the primes produced by
 :mod:`repro.ckks.numth` are below 2^31 so intermediate products never
-overflow.
+overflow, and every modular correction is an unsigned minimum rather than a
+masked (``where=``) ufunc.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .numth import find_primitive_root, mod_inverse
 
 
+#: Butterfly stages with fewer than this many pairs per block run on a
+#: transposed ``(16, N/16)`` copy, so each ufunc covers whole contiguous rows
+#: instead of an inner loop of 1-8 elements.
+_NARROW = 16
+
+
+def _butterfly(low: np.ndarray, high: np.ndarray, twiddles, q: np.uint64) -> None:
+    """In-place Cooley-Tukey butterfly on reduced ``uint64`` views.
+
+    ``low`` becomes ``low + w*high`` and ``high`` becomes ``low - w*high``
+    (mod ``q``).  The sum lives in ``[0, 2q)`` and the difference wraps below
+    zero, so an unsigned minimum with the corrected value reduces each one
+    without a branch or a mask: ``min(x, x - q)`` and ``min(d, d + q)``.
+    """
+    product = high if twiddles is None else high * twiddles % q
+    diff = low - product
+    low += product
+    np.minimum(low, low - q, out=low)
+    np.minimum(diff, diff + q, out=high)
+
+
 class NttContext:
-    """Precomputed twiddle factors for one (prime, N) pair."""
+    """Precomputed twiddle factors for one (prime, N) pair.
+
+    Tables are ``uint64``: residues stay below ``2^31``, so products fit and
+    the butterflies can correct with unsigned minima.  :meth:`forward` and
+    :meth:`inverse` accept any ``int64`` row and return reduced ``int64``.
+    """
 
     def __init__(self, prime: int, poly_modulus_degree: int) -> None:
         n = int(poly_modulus_degree)
@@ -35,99 +62,82 @@ class NttContext:
         self.omega_inv = mod_inverse(self.omega, self.prime)
         self.n_inv = mod_inverse(n, self.prime)
 
-        powers = np.arange(n, dtype=np.int64)
-        self.psi_powers = np.array(
-            [pow(self.psi, int(i), self.prime) for i in powers], dtype=np.int64
+        q = self.prime
+        self._q = np.uint64(q)
+        self._rows = min(_NARROW, n)
+        # One gather both bit-reverses the input and lays it out transposed
+        # as (rows, N/rows) for the narrow stages.
+        self._gather = _bit_reverse_indices(n).reshape(-1, self._rows).T.reshape(-1)
+        psi_powers = np.array([pow(self.psi, i, q) for i in range(n)], dtype=np.uint64)
+        self._forward_twist = psi_powers[self._gather]
+        # The inverse's 1/N scaling is folded into its post-twist.
+        self._inverse_twist = np.array(
+            [pow(self.psi_inv, i, q) * self.n_inv % q for i in range(n)], dtype=np.uint64
         )
-        self.psi_inv_powers = np.array(
-            [pow(self.psi_inv, int(i), self.prime) for i in powers], dtype=np.int64
-        )
-        # Stage twiddles for the iterative Cooley-Tukey butterflies.
         self._forward_stages = self._stage_twiddles(self.omega)
         self._inverse_stages = self._stage_twiddles(self.omega_inv)
 
-    def _stage_twiddles(self, root: int) -> Dict[int, np.ndarray]:
-        stages: Dict[int, np.ndarray] = {}
-        length = 2
+    def _stage_twiddles(self, root: int) -> List[Optional[np.ndarray]]:
+        """Twiddles per stage (length 2, 4, ..., N); narrow ones as columns.
+
+        The length-2 stage multiplies by ``root^0 = 1`` and gets ``None``.
+        """
+        stages: List[Optional[np.ndarray]] = [None]
+        length = 4
         while length <= self.n:
             step_root = pow(root, self.n // length, self.prime)
-            stages[length] = np.array(
-                [pow(step_root, i, self.prime) for i in range(length // 2)],
-                dtype=np.int64,
+            twiddles = np.array(
+                [pow(step_root, i, self.prime) for i in range(length // 2)], dtype=np.uint64
             )
+            stages.append(twiddles[:, np.newaxis] if length <= self._rows else twiddles)
             length *= 2
         return stages
 
     # -- core transforms ---------------------------------------------------------
-    def _transform(self, values: np.ndarray, stages: Dict[int, np.ndarray]) -> np.ndarray:
-        q = self.prime
-        data = values.astype(np.int64) % q
-        data = data[_bit_reverse_indices(self.n)]
-        length = 2
-        while length <= self.n:
-            half = length // 2
-            twiddles = stages[length]
+    def _transform(self, data: np.ndarray, stages: List[Optional[np.ndarray]]) -> np.ndarray:
+        """Radix-2 butterflies over gathered, reduced ``uint64`` input.
+
+        ``data`` is the ``take(self._gather)`` of the input; the result is a
+        flat natural-order ``uint64`` array.
+        """
+        q, rows = self._q, self._rows
+        narrow = rows.bit_length() - 1  # stages whose blocks fit in one column
+        data = data.reshape(rows, -1)
+        for index, twiddles in enumerate(stages[:narrow]):
+            length = 2 << index
+            blocks = data.reshape(rows // length, length, -1)
+            _butterfly(blocks[:, : length // 2], blocks[:, length // 2 :], twiddles, q)
+        data = data.T.reshape(-1)
+        for index, twiddles in enumerate(stages[narrow:], start=narrow):
+            length = 2 << index
             blocks = data.reshape(-1, length)
-            low = blocks[:, :half].copy()
-            high = (blocks[:, half:] * twiddles[np.newaxis, :]) % q
-            # Inputs are reduced, so the butterfly outputs live in (-q, 2q):
-            # a single conditional subtract/add replaces the int64 division
-            # that `% q` would cost per element.
-            total = low + high
-            np.subtract(total, q, out=total, where=total >= q)
-            diff = low - high
-            np.add(diff, q, out=diff, where=diff < 0)
-            blocks[:, :half] = total
-            blocks[:, half:] = diff
-            data = blocks.reshape(-1)
-            length *= 2
+            _butterfly(blocks[:, : length // 2], blocks[:, length // 2 :], twiddles, q)
         return data
 
-    def _transform_reference(self, values: np.ndarray, stages: Dict[int, np.ndarray]) -> np.ndarray:
-        """Original butterfly loop with full `%` reductions (property-test oracle)."""
-        q = self.prime
-        data = values.astype(np.int64) % q
-        data = data[_bit_reverse_indices(self.n)]
-        length = 2
-        while length <= self.n:
-            half = length // 2
-            twiddles = stages[length]
-            blocks = data.reshape(-1, length)
-            low = blocks[:, :half].copy()
-            high = (blocks[:, half:] * twiddles[np.newaxis, :]) % q
-            blocks[:, :half] = (low + high) % q
-            blocks[:, half:] = (low - high) % q
-            data = blocks.reshape(-1)
-            length *= 2
-        return data
+    def _gathered(self, values: np.ndarray) -> np.ndarray:
+        """Reduced ``uint64`` copy of ``values`` in the butterflies' input order."""
+        reduced = np.asarray(values, dtype=np.int64) % self.prime
+        return reduced.view(np.uint64).take(self._gather)
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Negacyclic forward NTT of a length-N coefficient vector."""
-        twisted = (coeffs.astype(np.int64) % self.prime) * self.psi_powers % self.prime
-        return self._transform(twisted, self._forward_stages)
+        data = self._gathered(coeffs)
+        data *= self._forward_twist
+        data %= self._q
+        return self._transform(data, self._forward_stages).view(np.int64)
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         """Inverse negacyclic NTT back to the coefficient domain."""
-        data = self._transform(values, self._inverse_stages)
-        data = data * self.n_inv % self.prime
-        return data * self.psi_inv_powers % self.prime
+        data = self._transform(self._gathered(values), self._inverse_stages)
+        data *= self._inverse_twist
+        data %= self._q
+        return data.view(np.int64)
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Negacyclic product of two coefficient vectors modulo the prime."""
         fa = self.forward(a)
         fb = self.forward(b)
         return self.inverse(fa * fb % self.prime)
-
-    def forward_reference(self, coeffs: np.ndarray) -> np.ndarray:
-        """Forward NTT through the reference butterfly path (property-test oracle)."""
-        twisted = (coeffs.astype(np.int64) % self.prime) * self.psi_powers % self.prime
-        return self._transform_reference(twisted, self._forward_stages)
-
-    def inverse_reference(self, values: np.ndarray) -> np.ndarray:
-        """Inverse NTT through the reference butterfly path (property-test oracle)."""
-        data = self._transform_reference(values, self._inverse_stages)
-        data = data * self.n_inv % self.prime
-        return data * self.psi_inv_powers % self.prime
 
 
 _BIT_REVERSE_CACHE: Dict[int, np.ndarray] = {}

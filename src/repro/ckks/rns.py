@@ -153,33 +153,50 @@ class RnsPolynomial:
 
     def add(self, other: "RnsPolynomial") -> "RnsPolynomial":
         self._check_basis(other)
-        # Both operands are reduced, so the sum lives in [0, 2p): a conditional
-        # subtract replaces the per-element int64 division of `% p`.
-        primes = self.basis.primes_column
-        total = self.residues + other.residues
-        np.subtract(total, primes, out=total, where=total >= primes)
-        return RnsPolynomial(self.basis, total)
+        # Both operands are reduced: the sum lives in [0, 2p), and on the
+        # uint64 view min(x, x - p) reduces it without a branch or a mask.
+        primes = self.basis.primes_column.view(np.uint64)
+        total = self.residues.view(np.uint64) + other.residues.view(np.uint64)
+        np.minimum(total, total - primes, out=total)
+        return RnsPolynomial(self.basis, total.view(np.int64))
 
     def sub(self, other: "RnsPolynomial") -> "RnsPolynomial":
         self._check_basis(other)
-        primes = self.basis.primes_column
-        diff = self.residues - other.residues
-        np.add(diff, primes, out=diff, where=diff < 0)
-        return RnsPolynomial(self.basis, diff)
+        # A negative difference wraps on the uint64 view; min(d, d + p) fixes it.
+        primes = self.basis.primes_column.view(np.uint64)
+        diff = self.residues.view(np.uint64) - other.residues.view(np.uint64)
+        np.minimum(diff, diff + primes, out=diff)
+        return RnsPolynomial(self.basis, diff.view(np.int64))
 
     def negate(self) -> "RnsPolynomial":
-        primes = self.basis.primes_column
-        negated = primes - self.residues
-        np.subtract(negated, primes, out=negated, where=negated >= primes)
-        return RnsPolynomial(self.basis, negated)
+        primes = self.basis.primes_column.view(np.uint64)
+        negated = primes - self.residues.view(np.uint64)
+        np.minimum(negated, negated - primes, out=negated)
+        return RnsPolynomial(self.basis, negated.view(np.int64))
 
     def multiply(self, other: "RnsPolynomial") -> "RnsPolynomial":
         """Negacyclic polynomial product (NTT-based, per prime)."""
         self._check_basis(other)
-        rows = []
-        for index, ntt in enumerate(self.basis.ntt):
-            rows.append(ntt.multiply(self.residues[index], other.residues[index]))
-        return RnsPolynomial(self.basis, np.stack(rows))
+        return self.multiply_ntt(other.ntt_rows())
+
+    def multiply_ntt(self, rows: np.ndarray) -> "RnsPolynomial":
+        """Product with a polynomial given by its :meth:`ntt_rows`.
+
+        Two transforms per prime, so a static operand (a key, a plaintext)
+        transformed once saves one of :meth:`multiply`'s three.
+        """
+        return RnsPolynomial.from_ntt_rows(
+            self.basis, self.ntt_rows() * rows % self.basis.primes_column
+        )
+
+    def ntt_rows(self) -> np.ndarray:
+        """Forward NTT of every residue row, as an ``(L, N)`` int64 array."""
+        return np.stack([ntt.forward(row) for ntt, row in zip(self.basis.ntt, self.residues)])
+
+    @classmethod
+    def from_ntt_rows(cls, basis: RnsBasis, rows: np.ndarray) -> "RnsPolynomial":
+        """Inverse of :meth:`ntt_rows`: back to reduced coefficient residues."""
+        return cls(basis, np.stack([ntt.inverse(row) for ntt, row in zip(basis.ntt, rows)]))
 
     def multiply_scalar(self, scalar: int) -> "RnsPolynomial":
         rows = []
@@ -219,21 +236,6 @@ class RnsPolynomial:
         diff = (self.residues[:-1] - centered[np.newaxis, :]) % primes
         return RnsPolynomial(new_basis, diff * inverses % primes)
 
-    def divide_and_round_last_reference(self) -> "RnsPolynomial":
-        """Row-at-a-time rescale re-deriving the inverses (property-test oracle)."""
-        if len(self.basis) < 2:
-            raise ParameterError("cannot rescale away the only prime of the basis")
-        last_prime = self.basis.primes[-1]
-        last_row = self.residues[-1]
-        centered = np.where(last_row > last_prime // 2, last_row - last_prime, last_row)
-        new_basis = self.basis.drop_last()
-        rows = []
-        for index, prime in enumerate(new_basis.primes):
-            inv = mod_inverse(last_prime, prime)
-            diff = (self.residues[index] - centered) % prime
-            rows.append(diff * inv % prime)
-        return RnsPolynomial(new_basis, np.stack(rows))
-
     def to_int_coefficients(self) -> List[int]:
         """CRT-compose the residues into centered integer coefficients."""
         modulus = self.basis.modulus()
@@ -244,17 +246,3 @@ class RnsPolynomial:
             composed += row.astype(object) * factor
         composed %= modulus
         return [int(c - modulus) if c > half else int(c) for c in composed]
-
-    def to_int_coefficients_reference(self) -> List[int]:
-        """Pure-Python CRT composition (property-test oracle for the fast path)."""
-        modulus = self.basis.modulus()
-        half = modulus // 2
-        n = self.basis.poly_modulus_degree
-        composed = [0] * n
-        for index, prime in enumerate(self.basis.primes):
-            quotient = modulus // prime
-            factor = (quotient * mod_inverse(quotient, prime)) % modulus
-            row = self.residues[index]
-            for position in range(n):
-                composed[position] = (composed[position] + int(row[position]) * factor) % modulus
-        return [c - modulus if c > half else c for c in composed]

@@ -171,6 +171,31 @@ def _collect_stats(profiler: cProfile.Profile, top: int) -> Tuple[Dict[str, floa
     return categories, rows[:top]
 
 
+def _ntt_cost(evaluate: Callable[[], object]) -> Tuple[int, float]:
+    """(transforms, ms per transform) of one unprofiled ``evaluate()`` call."""
+    from .ckks.ntt import NttContext
+
+    calls = [0, 0.0]
+    originals = (NttContext.forward, NttContext.inverse)
+
+    def timed(method):
+        def wrapper(self, values):
+            started = time.perf_counter()
+            result = method(self, values)
+            calls[0] += 1
+            calls[1] += time.perf_counter() - started
+            return result
+
+        return wrapper
+
+    NttContext.forward, NttContext.inverse = (timed(method) for method in originals)
+    try:
+        evaluate()
+    finally:
+        NttContext.forward, NttContext.inverse = originals
+    return calls[0], round(1000.0 * calls[1] / max(calls[0], 1), 4)
+
+
 def profile_program(name: str, repeats: int = 3, top: int = 15) -> dict:
     """Profile one representative program on the real backend.
 
@@ -193,6 +218,8 @@ def profile_program(name: str, repeats: int = 3, top: int = 15) -> dict:
     # forms, encoder tables) so the profile reflects steady state.
     warm = server.evaluate(bundle)
     client.decrypt_outputs(warm)
+    # One unprofiled evaluation splits NTT cost into count x unit cost.
+    transforms, ms_per_transform = _ntt_cost(lambda: server.evaluate(bundle))
 
     tracemalloc.start()
     profiler = cProfile.Profile()
@@ -222,6 +249,8 @@ def profile_program(name: str, repeats: int = 3, top: int = 15) -> dict:
                 categories.items(), key=lambda item: item[1], reverse=True
             )
         },
+        "ntt_transforms_per_evaluation": transforms,
+        "ms_per_transform": ms_per_transform,
         "top_functions": top_rows,
         "tracemalloc_peak_kb": round(peak / 1024.0, 1),
     }
@@ -250,6 +279,8 @@ def run_profile(
         hottest = next(iter(result["categories"]), "n/a")
         log(
             f"  {name}: {result['wall_seconds']:.2f}s wall, hottest bucket {hottest}, "
+            f"{result['ntt_transforms_per_evaluation']} transforms x "
+            f"{result['ms_per_transform']:.3f} ms, "
             f"peak {result['tracemalloc_peak_kb']:.0f} KiB"
         )
     return report

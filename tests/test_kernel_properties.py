@@ -1,25 +1,39 @@
-"""Property tests pinning every optimized CKKS kernel to its retained oracle.
+"""Property tests pinning every optimized CKKS kernel to its oracle.
 
 The profiling work (``repro.cli profile``) replaced the hot paths of the
 scheme — the NTT butterfly loops, the rescale and CRT-composition kernels,
 and the whole key-switching pipeline — with fused/NTT-domain variants.  The
-original implementations were kept as reference oracles precisely so the
-optimized paths can be pinned against them over randomized inputs:
+plain versions live in ``tests/ckks_oracles.py`` (and, for key switching, in
+``Evaluator(fast_keyswitch=False)``) so the optimized paths can be pinned
+against them over randomized and boundary inputs:
 
-* ``NttContext._transform`` vs ``_transform_reference`` (fused reductions);
+* ``NttContext.forward`` / ``inverse`` (branch-free corrections, transposed
+  narrow stages) vs ``forward_reference`` / ``inverse_reference``;
+* ``RnsPolynomial.add`` / ``sub`` / ``negate`` vs ``%`` on boundary residues;
 * ``RnsPolynomial.divide_and_round_last`` / ``to_int_coefficients`` vs
-  their ``*_reference`` row-at-a-time versions;
+  their row-at-a-time oracles;
 * ``galois_ntt_permutation`` vs the coefficient-domain automorphism;
 * ``Evaluator(fast_keyswitch=True)`` vs the coefficient-domain reference —
   **bit-exact** for relinearization, **noise-level** for hoisted rotations
   (digit lifting does not commute with the automorphism's sign flips, so
   the two valid decompositions differ only under the noise floor);
 * ``Evaluator.multiply_plain`` (scalar and NTT evaluation forms) vs
-  ``RnsPolynomial.multiply`` — **bit-exact**.
+  ``RnsPolynomial.multiply`` — **bit-exact**;
+* ``Encryptor.encrypt`` / ``Decryptor.decrypt_poly`` with cached key
+  transforms vs the same formulas through ``RnsPolynomial.multiply``.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
+from ckks_oracles import (
+    divide_and_round_last_reference,
+    forward_reference,
+    inverse_reference,
+    to_int_coefficients_reference,
+)
 
 from repro.ckks import (
     CkksContext,
@@ -28,10 +42,13 @@ from repro.ckks import (
     Evaluator,
     KeyGenerator,
 )
-from repro.ckks.ntt import galois_ntt_permutation, get_ntt_context
+from repro.ckks.ntt import NttContext, galois_ntt_permutation, get_ntt_context
 from repro.ckks.numth import generate_ntt_primes
 from repro.ckks.rns import RnsBasis, RnsPolynomial
+from repro.ckks.sampling import RlweSampler
 from repro.errors import ParameterError
+
+CKKS_SOURCES = Path(__file__).resolve().parent.parent / "src" / "repro" / "ckks"
 
 DRAWS = 5
 
@@ -49,17 +66,26 @@ def random_residues(rng, basis):
 
 
 class TestNttAgainstReference:
-    @pytest.mark.parametrize("n", [64, 256, 1024])
-    @pytest.mark.parametrize("bits", [20, 28])
+    # N <= 16 runs only the transposed narrow stages; N = 32 crosses from
+    # them to the wide stages; 1024 and 8192 are served sizes.
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 256, 1024, 8192])
+    @pytest.mark.parametrize("bits", [20, 23, 28, 30])
     def test_forward_and_inverse_match_reference(self, n, bits):
         prime = generate_ntt_primes([bits], n)[0]
         ntt = get_ntt_context(prime, n)
         rng = np.random.default_rng(n * bits)
-        for draw in range(DRAWS):
-            coeffs = rng.integers(0, prime, size=n, dtype=np.int64)
+        impulses = [np.eye(1, n, k, dtype=np.int64)[0] for k in (0, 1, n // 2, n - 1)]
+        randoms = list(rng.integers(0, prime, size=(16, n), dtype=np.int64))
+        for coeffs in [
+            np.zeros(n, dtype=np.int64),
+            np.full(n, prime - 1, dtype=np.int64),
+            *impulses,
+            *randoms,
+        ]:
             forward = ntt.forward(coeffs)
-            assert np.array_equal(forward, ntt.forward_reference(coeffs))
-            assert np.array_equal(ntt.inverse(forward), ntt.inverse_reference(forward))
+            assert forward.dtype == np.int64
+            assert np.array_equal(forward, forward_reference(ntt, coeffs))
+            assert np.array_equal(ntt.inverse(coeffs), inverse_reference(ntt, coeffs))
             assert np.array_equal(ntt.inverse(forward), coeffs % prime)
 
     def test_edge_vectors(self):
@@ -72,8 +98,28 @@ class TestNttAgainstReference:
             np.eye(1, n, 0, dtype=np.int64)[0],  # X^0
             np.eye(1, n, n - 1, dtype=np.int64)[0],  # X^(N-1)
         ):
-            assert np.array_equal(ntt.forward(coeffs), ntt.forward_reference(coeffs))
+            assert np.array_equal(ntt.forward(coeffs), forward_reference(ntt, coeffs))
             assert np.array_equal(ntt.inverse(ntt.forward(coeffs)), coeffs % prime)
+
+    def test_unreduced_and_negative_inputs(self):
+        n = 64
+        prime = generate_ntt_primes([25], n)[0]
+        ntt = get_ntt_context(prime, n)
+        rng = np.random.default_rng(3)
+        for draw in range(DRAWS):
+            coeffs = rng.integers(-(2**40), 2**40, size=n, dtype=np.int64)
+            assert np.array_equal(ntt.forward(coeffs), forward_reference(ntt, coeffs))
+            assert np.array_equal(ntt.inverse(coeffs), inverse_reference(ntt, coeffs))
+
+    def test_forward_and_inverse_do_not_mutate_input(self):
+        n = 1024
+        prime = generate_ntt_primes([23], n)[0]
+        ntt = get_ntt_context(prime, n)
+        coeffs = np.random.default_rng(5).integers(0, prime, size=n, dtype=np.int64)
+        before = coeffs.copy()
+        ntt.forward(coeffs)
+        ntt.inverse(coeffs)
+        assert np.array_equal(coeffs, before)
 
     def test_negacyclic_multiply_matches_schoolbook(self):
         n = 64
@@ -110,6 +156,26 @@ class TestGaloisPermutation:
 
 
 class TestRnsKernelsAgainstReference:
+    def test_add_sub_negate_on_boundary_residues(self):
+        n = 16
+        basis = RnsBasis(generate_ntt_primes([20, 23, 30], n), n)
+        primes = basis.primes_column
+        # Every pair of {0, 1, q-1} residues, per prime, across the row.
+        edges = np.concatenate([np.zeros_like(primes), np.ones_like(primes), primes - 1], axis=1)
+        left = np.repeat(edges, 3, axis=1)
+        right = np.tile(edges, (1, 3))
+        pad = np.zeros((len(basis), n - left.shape[1]), dtype=np.int64)
+        a = RnsPolynomial(basis, np.concatenate([left, pad], axis=1))
+        b = RnsPolynomial(basis, np.concatenate([right, pad], axis=1))
+        for got, want in (
+            (a.add(b), (a.residues + b.residues) % primes),
+            (a.sub(b), (a.residues - b.residues) % primes),
+            (a.negate(), (-a.residues) % primes),
+        ):
+            assert got.residues.dtype == np.int64
+            assert got.residues.min() >= 0 and (got.residues < primes).all()
+            assert np.array_equal(got.residues, want)
+
     @pytest.mark.parametrize("level_primes", [2, 3, 5])
     def test_divide_and_round_last(self, level_primes):
         n = 128
@@ -119,7 +185,7 @@ class TestRnsKernelsAgainstReference:
         for draw in range(DRAWS):
             poly = random_residues(rng, basis)
             fast = poly.divide_and_round_last()
-            slow = poly.divide_and_round_last_reference()
+            slow = divide_and_round_last_reference(poly)
             assert fast.basis == slow.basis
             assert np.array_equal(fast.residues, slow.residues)
 
@@ -129,7 +195,7 @@ class TestRnsKernelsAgainstReference:
         rng = np.random.default_rng(11)
         for draw in range(DRAWS):
             poly = random_residues(rng, basis)
-            assert poly.to_int_coefficients() == poly.to_int_coefficients_reference()
+            assert poly.to_int_coefficients() == to_int_coefficients_reference(poly)
 
     def test_roundtrip_through_int_coefficients(self):
         n = 64
@@ -270,3 +336,98 @@ class TestMultiplyPlainAgainstReference:
             assert plain.poly.basis != cipher.basis
             with pytest.raises(ParameterError):
                 scheme["evaluator"].multiply_plain(cipher, plain)
+
+
+class TestStaticKeyOperands:
+    """Encrypt and decrypt transform the static key operands once, cached.
+
+    Fresh encryption costs 3 transforms per prime (``u`` forward, two
+    inverses) and decryption of a 2-polynomial ciphertext costs 2 (``c1``
+    forward, one inverse); the results match the plain ``multiply`` formulas
+    bit for bit.
+    """
+
+    N = 1024
+    SCALE = 2.0**24
+
+    @pytest.fixture(scope="class")
+    def scheme(self):
+        context = CkksContext(self.N, [26, 26, 26, 30], enforce_security=False)
+        keygen = KeyGenerator(context, seed=8)
+        return context, keygen.secret_key, keygen.create_public_key()
+
+    @staticmethod
+    def _count_transforms(monkeypatch):
+        counts = {"ntt": 0}
+        for name in ("forward", "inverse"):
+            original = getattr(NttContext, name)
+
+            def counted(self, values, _original=original):
+                counts["ntt"] += 1
+                return _original(self, values)
+
+            monkeypatch.setattr(NttContext, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_encrypt_and_decrypt_transform_counts(self, scheme, monkeypatch, level):
+        context, secret_key, public_key = scheme
+        encryptor = Encryptor(context, public_key, seed=12)
+        decryptor = Decryptor(context, secret_key)
+        values = np.linspace(-1.0, 1.0, context.slots)
+        plain = encryptor.encode(values, self.SCALE, level=level)
+        primes = len(plain.poly.basis)
+        # Warm the per-basis key caches, then count one steady-state call each.
+        decryptor.decrypt_poly(encryptor.encrypt(plain))
+        counts = self._count_transforms(monkeypatch)
+        cipher = encryptor.encrypt(plain)
+        assert counts["ntt"] == 3 * primes
+        counts["ntt"] = 0
+        decrypted = decryptor.decrypt(cipher)
+        assert counts["ntt"] == 2 * primes
+        assert np.max(np.abs(np.real(decrypted) - values)) < 1e-3
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_encrypt_and_decrypt_match_plain_multiply(self, scheme, level):
+        context, secret_key, public_key = scheme
+        plain = Encryptor(context, public_key).encode(0.25, self.SCALE, level=level)
+        cipher = Encryptor(context, public_key, seed=21).encrypt(plain)
+        basis = plain.poly.basis
+        sampler = RlweSampler(21)
+        u, e0, e1 = sampler.ternary(basis), sampler.error(basis), sampler.error(basis)
+        pk_b = context.restrict(public_key.b, basis)
+        pk_a = context.restrict(public_key.a, basis)
+        assert np.array_equal(
+            cipher.polys[0].residues, pk_b.multiply(u).add(e0).add(plain.poly).residues
+        )
+        assert np.array_equal(cipher.polys[1].residues, pk_a.multiply(u).add(e1).residues)
+        s = secret_key.poly_for(basis)
+        want = cipher.polys[0].add(cipher.polys[1].multiply(s))
+        got = Decryptor(context, secret_key).decrypt_poly(cipher)
+        assert np.array_equal(got.residues, want.residues)
+        # A 3-polynomial ciphertext adds c2 * s^2.
+        c2 = RlweSampler(22).uniform(basis)
+        triple = type(cipher)([*cipher.polys, c2], cipher.scale, cipher.level)
+        want = want.add(c2.multiply(s.multiply(s)))
+        got = Decryptor(context, secret_key).decrypt_poly(triple)
+        assert np.array_equal(got.residues, want.residues)
+
+
+def test_ckks_kernels_use_no_masked_ufuncs():
+    """Masked ``where=`` ufuncs were the measured hot spot of the CKKS
+    kernels; corrections must stay branch-free (unsigned minima)."""
+    offenders = []
+    for path in sorted(CKKS_SOURCES.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and any(kw.arg == "where" for kw in node.keywords):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"where= keyword calls in repro/ckks: {offenders}"
+
+
+def test_profile_splits_ntt_cost_into_count_and_unit_cost():
+    from repro.profiling import profile_program
+
+    report = profile_program("sum", repeats=1, top=3)
+    # A 10-step rotation tree at N=4096: deterministic for the program.
+    assert report["ntt_transforms_per_evaluation"] == 120
+    assert report["ms_per_transform"] > 0.0
