@@ -8,6 +8,7 @@ from ..errors import ExecutionError
 from .ciphertext import Ciphertext
 from .context import CkksContext
 from .keys import SecretKey
+from .ntt import reduce_mod
 from .rns import RnsPolynomial
 
 
@@ -26,12 +27,13 @@ class Decryptor:
         primes = basis.primes_column
         s_rows = self.secret_key.ntt_for(basis)
         # sum_{i>=1} c_i s^i accumulates in the NTT domain: one forward
-        # transform per c_i and a single inverse.
+        # transform per c_i and a single inverse, which reduces the last term.
         s_power = s_rows
-        total = np.zeros_like(s_rows)
-        for index in range(1, ciphertext.size):
-            total = (total + ciphertext.polys[index].ntt_rows() * s_power) % primes
-            s_power = s_power * s_rows % primes
+        total = ciphertext.polys[1].ntt_rows() * s_rows
+        for poly in ciphertext.polys[2:]:
+            s_power = reduce_mod(s_power * s_rows, primes)
+            reduce_mod(total, primes)
+            total += poly.ntt_rows() * s_power
         return ciphertext.polys[0].add(RnsPolynomial.from_ntt_rows(basis, total))
 
     def decrypt(self, ciphertext: Ciphertext) -> np.ndarray:

@@ -51,12 +51,11 @@ class Encryptor:
         u = self.sampler.ternary(basis)
         e0 = self.sampler.error(basis)
         e1 = self.sampler.error(basis)
-        # One transform of u serves both products.
+        # One transform of u serves both products, which the inverses reduce.
         u_rows = u.ntt_rows()
-        primes = basis.primes_column
-        c0 = RnsPolynomial.from_ntt_rows(basis, pk_b * u_rows % primes)
+        c0 = RnsPolynomial.from_ntt_rows(basis, pk_b * u_rows)
         c0 = c0.add(e0).add(plaintext.poly)
-        c1 = RnsPolynomial.from_ntt_rows(basis, pk_a * u_rows % primes).add(e1)
+        c1 = RnsPolynomial.from_ntt_rows(basis, pk_a * u_rows).add(e1)
         return Ciphertext(polys=[c0, c1], scale=plaintext.scale, level=plaintext.level)
 
     def _public_key_rows(self, basis: RnsBasis) -> Tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from ..errors import (
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext
 from .keys import GaloisKeys, KeySwitchingKey, RelinearizationKey
-from .ntt import galois_ntt_permutation
+from .ntt import galois_ntt_permutation, reduce_mod
 from .rns import RnsBasis, RnsPolynomial
 
 #: Relative tolerance when comparing scales of additive operands.
@@ -125,16 +125,27 @@ class Evaluator:
 
     # -- multiplication -------------------------------------------------------------------
     def multiply(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
+        """Tensor product ``(a0 b0, a0 b1 + a1 b0, a1 b1)``.
+
+        Each operand polynomial is transformed once and the three products are
+        formed pointwise, then inverted: 7 transforms per prime, or 5 for a
+        square (``b is a``).  The inverse is linear and reduces its input, so
+        the unreduced cross-term sum (below ``2^61``) gives the same residues
+        as adding two reduced products.
+        """
         self._check_same_level(a, b)
         for operand in (a, b):
             if operand.size != 2:
                 raise PolynomialCountError(
                     f"multiplication operand has {operand.size} polynomials; relinearize first"
                 )
-        c0 = a.polys[0].multiply(b.polys[0])
-        c1 = a.polys[0].multiply(b.polys[1]).add(a.polys[1].multiply(b.polys[0]))
-        c2 = a.polys[1].multiply(b.polys[1])
-        return Ciphertext([c0, c1, c2], a.scale * b.scale, a.level)
+        if a.basis != b.basis:
+            raise ParameterError("polynomials have different RNS bases")
+        a0, a1 = (poly.ntt_rows() for poly in a.polys)
+        b0, b1 = (a0, a1) if b is a else (poly.ntt_rows() for poly in b.polys)
+        products = (a0 * b0, a0 * b1 + a1 * b0, a1 * b1)
+        polys = [RnsPolynomial.from_ntt_rows(a.basis, rows) for rows in products]
+        return Ciphertext(polys, a.scale * b.scale, a.level)
 
     def multiply_plain(self, a: Ciphertext, p: Plaintext) -> Ciphertext:
         """Multiply by a plaintext through its cached evaluation form.
@@ -150,7 +161,7 @@ class Evaluator:
         scalar, form = p.evaluation_form()
         primes = basis.primes_column
         polys = [
-            RnsPolynomial(basis, poly.residues * form % primes) if scalar
+            RnsPolynomial(basis, reduce_mod(poly.residues * form, primes)) if scalar
             else poly.multiply_ntt(form)
             for poly in a.polys
         ]
@@ -268,17 +279,16 @@ class Evaluator:
         data_primes = tuple(context.data_basis(level).primes)
         b_ntt, a_ntt = self._key_evaluation_form(switching_key, key_basis, data_primes)
         primes = key_basis.primes_column
-        unsigned = primes.view(np.uint64)
-        acc0 = np.zeros((len(key_basis), key_basis.poly_modulus_degree), dtype=np.uint64)
+        acc0 = np.zeros((len(key_basis), key_basis.poly_modulus_degree), dtype=np.int64)
         acc1 = np.zeros_like(acc0)
         for j in range(digit_ntts.shape[0]):
             digit = digit_ntts[j] if permutation is None else digit_ntts[j][:, permutation]
-            # Reduced terms keep each sum in [0, 2p): min(x, x - p) reduces it.
+            # A reduced accumulator plus one product stays below 2^61.
             for acc, key_rows in ((acc0, b_ntt[j]), (acc1, a_ntt[j])):
-                acc += (digit * key_rows % primes).view(np.uint64)
-                np.minimum(acc, acc - unsigned, out=acc)
-        poly0 = RnsPolynomial.from_ntt_rows(key_basis, acc0.view(np.int64))
-        poly1 = RnsPolynomial.from_ntt_rows(key_basis, acc1.view(np.int64))
+                acc += digit * key_rows
+                reduce_mod(acc, primes)
+        poly0 = RnsPolynomial.from_ntt_rows(key_basis, acc0)
+        poly1 = RnsPolynomial.from_ntt_rows(key_basis, acc1)
         return poly0.divide_and_round_last(), poly1.divide_and_round_last()
 
     def relinearize(self, a: Ciphertext) -> Ciphertext:

@@ -20,6 +20,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from .context import CkksContext
+from .ntt import reduce_mod
 from .rns import RnsBasis, RnsPolynomial
 from .sampling import RlweSampler
 
@@ -124,7 +125,7 @@ class KeyGenerator:
             e_j = self.sampler.error(key_basis)
             w = RnsPolynomial.zero(key_basis)
             row = prime_rows[q_j]
-            w.residues[row] = (target.residues[row] * (special % q_j)) % q_j
+            w.residues[row] = reduce_mod(target.residues[row] * (special % q_j), q_j)
             b_j = w.sub(a_j.multiply_ntt(s_rows)).sub(e_j)
             pairs[q_j] = (b_j, a_j)
         return KeySwitchingKey(pairs)

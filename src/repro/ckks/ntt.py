@@ -6,10 +6,12 @@ the negacyclic NTT: coefficients are pre-twisted by powers of a primitive
 ``N`` (whose root is ``psi^2``), multiplied point-wise, inverse-transformed,
 and post-twisted by powers of ``psi^{-1}``.
 
-The butterflies run vectorized over ``uint64``; the primes produced by
-:mod:`repro.ckks.numth` are below 2^31 so intermediate products never
-overflow, and every modular correction is an unsigned minimum rather than a
-masked (``where=``) ufunc.
+The butterflies run vectorized over ``uint64`` and reduce lazily (Harvey,
+"Faster arithmetic for number-theoretic transforms", 2014): only the twiddle
+product is reduced, each stage lets its outputs grow by at most ``q``, and the
+transform reduces once after the last stage.  :class:`NttContext` checks that
+the largest product the schedule forms fits in 64 bits.  Every reduction is
+:func:`reduce_mod`, which floor-divides instead of taking ``%``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..errors import ParameterError
 from .numth import find_primitive_root, mod_inverse
 
 
@@ -27,27 +30,43 @@ from .numth import find_primitive_root, mod_inverse
 _NARROW = 16
 
 
-def _butterfly(low: np.ndarray, high: np.ndarray, twiddles, q: np.uint64) -> None:
-    """In-place Cooley-Tukey butterfly on reduced ``uint64`` views.
+def reduce_mod(x: np.ndarray, q) -> np.ndarray:
+    """Reduce ``x`` modulo ``q`` in place and return it: ``x - (x // q) * q``.
 
-    ``low`` becomes ``low + w*high`` and ``high`` becomes ``low - w*high``
-    (mod ``q``).  The sum lives in ``[0, 2q)`` and the difference wraps below
-    zero, so an unsigned minimum with the corrected value reduces each one
-    without a branch or a mask: ``min(x, x - q)`` and ``min(d, d + q)``.
+    ``q`` is a scalar or an ``(L, 1)`` column of primes.  numpy floor-divides
+    by such a divisor with a multiply and a shift (libdivide), while ``%``
+    issues one hardware divide per element, several times slower.  Floor
+    division keeps ``%``'s result for negative ``int64`` too: ``[0, q)``.
     """
-    product = high if twiddles is None else high * twiddles % q
+    quotient = x // q
+    quotient *= q
+    x -= quotient
+    return x
+
+
+def _butterfly(low: np.ndarray, high: np.ndarray, twiddles, q: np.uint64) -> None:
+    """In-place lazy Cooley-Tukey butterfly on ``uint64`` views.
+
+    ``low`` becomes ``low + w*high`` and ``high`` becomes ``low - w*high + q``.
+    Only the product ``w*high`` is reduced, into ``[0, q)``, so inputs below
+    ``k*q`` give outputs below ``(k+1)*q``; the ``+ q`` keeps the difference
+    from wrapping below zero.  The product is a fresh contiguous array, so
+    its reduction runs on contiguous memory rather than on the strided views.
+    """
+    product = high if twiddles is None else reduce_mod(high * twiddles, q)
     diff = low - product
     low += product
-    np.minimum(low, low - q, out=low)
-    np.minimum(diff, diff + q, out=high)
+    np.add(diff, q, out=high)
 
 
 class NttContext:
     """Precomputed twiddle factors for one (prime, N) pair.
 
-    Tables are ``uint64``: residues stay below ``2^31``, so products fit and
-    the butterflies can correct with unsigned minima.  :meth:`forward` and
-    :meth:`inverse` accept any ``int64`` row and return reduced ``int64``.
+    Tables are ``uint64``.  The input to butterfly stage ``k`` (from 1) is
+    below ``k*q``, and its twiddle product below ``k*q*(q-1)``, so the prime
+    must satisfy ``log2(N) * q * (q-1) < 2^64``; with primes of at most 30
+    bits that holds up to ``N = 2^16``.  :meth:`forward` and :meth:`inverse`
+    accept any ``int64`` row and return reduced ``int64``.
     """
 
     def __init__(self, prime: int, poly_modulus_degree: int) -> None:
@@ -56,6 +75,11 @@ class NttContext:
             raise ValueError("polynomial degree must be a power of two")
         self.prime = int(prime)
         self.n = n
+        if (n.bit_length() - 1) * self.prime * (self.prime - 1) >= 1 << 64:
+            raise ParameterError(
+                f"prime {self.prime} is too large for lazy butterflies at N={n}: "
+                "log2(N) * q * (q - 1) must stay below 2^64"
+            )
         self.psi = find_primitive_root(2 * n, self.prime)
         self.psi_inv = mod_inverse(self.psi, self.prime)
         self.omega = (self.psi * self.psi) % self.prime
@@ -95,10 +119,10 @@ class NttContext:
 
     # -- core transforms ---------------------------------------------------------
     def _transform(self, data: np.ndarray, stages: List[Optional[np.ndarray]]) -> np.ndarray:
-        """Radix-2 butterflies over gathered, reduced ``uint64`` input.
+        """Radix-2 lazy butterflies over gathered, reduced ``uint64`` input.
 
         ``data`` is the ``take(self._gather)`` of the input; the result is a
-        flat natural-order ``uint64`` array.
+        flat natural-order ``uint64`` array, reduced once after the last stage.
         """
         q, rows = self._q, self._rows
         narrow = rows.bit_length() - 1  # stages whose blocks fit in one column
@@ -112,32 +136,25 @@ class NttContext:
             length = 2 << index
             blocks = data.reshape(-1, length)
             _butterfly(blocks[:, : length // 2], blocks[:, length // 2 :], twiddles, q)
-        return data
+        return reduce_mod(data, q)
 
     def _gathered(self, values: np.ndarray) -> np.ndarray:
         """Reduced ``uint64`` copy of ``values`` in the butterflies' input order."""
-        reduced = np.asarray(values, dtype=np.int64) % self.prime
-        return reduced.view(np.uint64).take(self._gather)
+        data = np.asarray(values, dtype=np.int64).take(self._gather)
+        return reduce_mod(data, self.prime).view(np.uint64)
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Negacyclic forward NTT of a length-N coefficient vector."""
         data = self._gathered(coeffs)
         data *= self._forward_twist
-        data %= self._q
+        reduce_mod(data, self._q)
         return self._transform(data, self._forward_stages).view(np.int64)
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         """Inverse negacyclic NTT back to the coefficient domain."""
         data = self._transform(self._gathered(values), self._inverse_stages)
         data *= self._inverse_twist
-        data %= self._q
-        return data.view(np.int64)
-
-    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Negacyclic product of two coefficient vectors modulo the prime."""
-        fa = self.forward(a)
-        fb = self.forward(b)
-        return self.inverse(fa * fb % self.prime)
+        return reduce_mod(data, self._q).view(np.int64)
 
 
 _BIT_REVERSE_CACHE: Dict[int, np.ndarray] = {}

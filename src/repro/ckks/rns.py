@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import ParameterError
-from .ntt import get_ntt_context
+from .ntt import get_ntt_context, reduce_mod
 from .numth import mod_inverse
 
 _AUTOMORPHISM_TABLE_CACHE: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
@@ -140,8 +140,8 @@ class RnsPolynomial:
     @classmethod
     def from_int64_coefficients(cls, basis: RnsBasis, coeffs: np.ndarray) -> "RnsPolynomial":
         """Build from int64 coefficients (fast path; values must fit in int64)."""
-        coeffs = np.asarray(coeffs, dtype=np.int64)
-        return cls(basis, coeffs[np.newaxis, :] % basis.primes_column)
+        rows = np.tile(np.asarray(coeffs, dtype=np.int64), (len(basis), 1))
+        return cls(basis, reduce_mod(rows, basis.primes_column))
 
     def copy(self) -> "RnsPolynomial":
         return RnsPolynomial(self.basis, self.residues.copy())
@@ -183,11 +183,10 @@ class RnsPolynomial:
         """Product with a polynomial given by its :meth:`ntt_rows`.
 
         Two transforms per prime, so a static operand (a key, a plaintext)
-        transformed once saves one of :meth:`multiply`'s three.
+        transformed once saves one of :meth:`multiply`'s three.  The inverse
+        reduces the pointwise product (below ``2^60``).
         """
-        return RnsPolynomial.from_ntt_rows(
-            self.basis, self.ntt_rows() * rows % self.basis.primes_column
-        )
+        return RnsPolynomial.from_ntt_rows(self.basis, self.ntt_rows() * rows)
 
     def ntt_rows(self) -> np.ndarray:
         """Forward NTT of every residue row, as an ``(L, N)`` int64 array."""
@@ -195,14 +194,11 @@ class RnsPolynomial:
 
     @classmethod
     def from_ntt_rows(cls, basis: RnsBasis, rows: np.ndarray) -> "RnsPolynomial":
-        """Inverse of :meth:`ntt_rows`: back to reduced coefficient residues."""
-        return cls(basis, np.stack([ntt.inverse(row) for ntt, row in zip(basis.ntt, rows)]))
+        """Inverse of :meth:`ntt_rows`: back to reduced coefficient residues.
 
-    def multiply_scalar(self, scalar: int) -> "RnsPolynomial":
-        rows = []
-        for index, prime in enumerate(self.basis.primes):
-            rows.append(self.residues[index] * (int(scalar) % prime) % prime)
-        return RnsPolynomial(self.basis, np.stack(rows))
+        ``rows`` may hold any ``int64`` values; each inverse reduces its row.
+        """
+        return cls(basis, np.stack([ntt.inverse(row) for ntt, row in zip(basis.ntt, rows)]))
 
     def automorphism(self, galois_element: int) -> "RnsPolynomial":
         """Apply ``X -> X^g`` (``g`` odd) in the negacyclic ring."""
@@ -233,8 +229,10 @@ class RnsPolynomial:
         new_basis = self.basis.drop_last()
         primes = new_basis.primes_column
         inverses = self.basis.rescale_inverses()
-        diff = (self.residues[:-1] - centered[np.newaxis, :]) % primes
-        return RnsPolynomial(new_basis, diff * inverses % primes)
+        # |residue - centered| < 2^31 and the inverses are below 2^30, so the
+        # product fits in int64 and one floor reduction serves both steps.
+        diff = self.residues[:-1] - centered[np.newaxis, :]
+        return RnsPolynomial(new_basis, reduce_mod(diff * inverses, primes))
 
     def to_int_coefficients(self) -> List[int]:
         """CRT-compose the residues into centered integer coefficients."""

@@ -67,8 +67,11 @@ def linger_budget(
       when a deadline leaves less slack — a relaxed client asked for
       throughput, not latency.
     * ``standard`` requests linger only as long as their deadline allows:
-      ``batch_window`` capped at ``deadline_remaining - execute_estimate``
-      (a request whose slack just covers execution goes solo, not rejected).
+      ``batch_window`` capped at half of ``deadline_remaining -
+      execute_estimate``.  The other half is headroom for wake-up jitter and
+      an execute estimate that runs long, so an attainable deadline is not
+      missed by lingering up to its edge (a request whose slack just covers
+      execution goes solo, not rejected).
 
     ``deadline_remaining`` is seconds until the request's deadline (None when
     it carries none); ``execute_estimate`` is the modeled solo execution time.
@@ -78,7 +81,7 @@ def linger_budget(
     if slo_class == "relaxed" or deadline_remaining is None:
         return max(float(batch_window), 0.0)
     slack = float(deadline_remaining) - float(execute_estimate)
-    return min(max(float(batch_window), 0.0), max(slack, 0.0))
+    return min(max(float(batch_window), 0.0), max(slack, 0.0) / 2.0)
 
 
 def _value_width(value: Any) -> int:

@@ -63,6 +63,11 @@ def inverse_reference(ntt, values: np.ndarray) -> np.ndarray:
     return data * _powers(mod_inverse(ntt.psi, q), ntt.n, q) % q
 
 
+def negacyclic_product(ntt, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Negacyclic product of two coefficient vectors through ``ntt``'s transforms."""
+    return ntt.inverse(ntt.forward(a) * ntt.forward(b))
+
+
 def divide_and_round_last_reference(poly: RnsPolynomial) -> RnsPolynomial:
     """Row-at-a-time rescale that re-derives the inverses per call."""
     last_prime = poly.basis.primes[-1]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from ckks_oracles import negacyclic_product
 
 from repro.ckks.numth import find_primitive_root, generate_ntt_primes, is_prime, mod_inverse
 from repro.ckks.ntt import NttContext, get_ntt_context
@@ -75,14 +76,14 @@ class TestNtt:
                     expected[index - n] = (expected[index - n] - value) % q
                 else:
                     expected[index] = (expected[index] + value) % q
-        np.testing.assert_array_equal(context.multiply(a, b), expected)
+        np.testing.assert_array_equal(negacyclic_product(context, a, b), expected)
 
     def test_multiplication_by_one(self, context):
         rng = np.random.default_rng(2)
         a = rng.integers(0, context.prime, context.n, dtype=np.int64)
         one = np.zeros(context.n, dtype=np.int64)
         one[0] = 1
-        np.testing.assert_array_equal(context.multiply(a, one), a)
+        np.testing.assert_array_equal(negacyclic_product(context, a, one), a)
 
     def test_context_caching(self):
         prime = generate_ntt_primes([25], 512)[0]

@@ -256,7 +256,9 @@ class TestEngineQuotas:
     def test_rate_quota_at_admission(self):
         engine = JobEngine(
             lambda jobs: [None] * len(jobs), workers=1,
-            fairness=FairnessPolicy(quota_rps=1000.0, burst=2),
+            # A rate slow enough that the bucket cannot refill between the
+            # synchronous submits: the burst is the whole budget.
+            fairness=FairnessPolicy(quota_rps=0.5, burst=2),
         )
         engine.submit("g", None, client="alice").result(10)
         engine.submit("g", None, client="alice").result(10)

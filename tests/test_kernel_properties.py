@@ -7,8 +7,10 @@ plain versions live in ``tests/ckks_oracles.py`` (and, for key switching, in
 ``Evaluator(fast_keyswitch=False)``) so the optimized paths can be pinned
 against them over randomized and boundary inputs:
 
-* ``NttContext.forward`` / ``inverse`` (branch-free corrections, transposed
-  narrow stages) vs ``forward_reference`` / ``inverse_reference``;
+* ``NttContext.forward`` / ``inverse`` (lazy butterflies, floor-division
+  reductions, transposed narrow stages) vs ``forward_reference`` /
+  ``inverse_reference``, up to the largest supported prime and degree;
+* ``reduce_mod`` vs ``%``;
 * ``RnsPolynomial.add`` / ``sub`` / ``negate`` vs ``%`` on boundary residues;
 * ``RnsPolynomial.divide_and_round_last`` / ``to_int_coefficients`` vs
   their row-at-a-time oracles;
@@ -17,7 +19,8 @@ against them over randomized and boundary inputs:
   **bit-exact** for relinearization, **noise-level** for hoisted rotations
   (digit lifting does not commute with the automorphism's sign flips, so
   the two valid decompositions differ only under the noise floor);
-* ``Evaluator.multiply_plain`` (scalar and NTT evaluation forms) vs
+* ``Evaluator.multiply`` (each operand transformed once) and
+  ``Evaluator.multiply_plain`` (scalar and NTT evaluation forms) vs
   ``RnsPolynomial.multiply`` — **bit-exact**;
 * ``Encryptor.encrypt`` / ``Decryptor.decrypt_poly`` with cached key
   transforms vs the same formulas through ``RnsPolynomial.multiply``.
@@ -32,6 +35,7 @@ from ckks_oracles import (
     divide_and_round_last_reference,
     forward_reference,
     inverse_reference,
+    negacyclic_product,
     to_int_coefficients_reference,
 )
 
@@ -42,10 +46,11 @@ from repro.ckks import (
     Evaluator,
     KeyGenerator,
 )
-from repro.ckks.ntt import NttContext, galois_ntt_permutation, get_ntt_context
-from repro.ckks.numth import generate_ntt_primes
+from repro.ckks.ntt import NttContext, galois_ntt_permutation, get_ntt_context, reduce_mod
+from repro.ckks.numth import MAX_PRIME_BITS, generate_ntt_primes
 from repro.ckks.rns import RnsBasis, RnsPolynomial
 from repro.ckks.sampling import RlweSampler
+from repro.core.analysis.parameters import MAX_POLY_MODULUS_DEGREE
 from repro.errors import ParameterError
 
 CKKS_SOURCES = Path(__file__).resolve().parent.parent / "src" / "repro" / "ckks"
@@ -87,6 +92,29 @@ class TestNttAgainstReference:
             assert np.array_equal(forward, forward_reference(ntt, coeffs))
             assert np.array_equal(ntt.inverse(coeffs), inverse_reference(ntt, coeffs))
             assert np.array_equal(ntt.inverse(forward), coeffs % prime)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, MAX_POLY_MODULUS_DEGREE])
+    def test_lazy_bound_at_largest_prime(self, n):
+        """Lazy butterflies let stage ``k`` see values up to ``k*q``; at the
+        largest prime and degree the last twiddle product nears ``2^64``.
+        N = 8 and 16 run only the narrow layout, N = 32 crosses into the
+        wide one."""
+        prime = generate_ntt_primes([MAX_PRIME_BITS], n)[0]
+        ntt = get_ntt_context(prime, n)
+        rng = np.random.default_rng(n)
+        for coeffs in (
+            np.full(n, prime - 1, dtype=np.int64),
+            rng.integers(0, prime, size=n, dtype=np.int64),
+        ):
+            forward = ntt.forward(coeffs)
+            assert np.array_equal(forward, forward_reference(ntt, coeffs))
+            assert np.array_equal(ntt.inverse(coeffs), inverse_reference(ntt, coeffs))
+            assert np.array_equal(ntt.inverse(forward), coeffs)
+
+    def test_lazy_bound_guard_rejects_oversized_prime(self):
+        # 2^32 - 2^20 + 1 is an NTT prime for N <= 2^19, but 16 * q^2 > 2^64.
+        with pytest.raises(ParameterError, match="lazy butterflies"):
+            NttContext(2**32 - 2**20 + 1, MAX_POLY_MODULUS_DEGREE)
 
     def test_edge_vectors(self):
         n = 128
@@ -134,7 +162,7 @@ class TestNttAgainstReference:
                 index = (i + j) % n
                 sign = -1 if i + j >= n else 1
                 want[index] = (want[index] + sign * int(a[i]) * int(b[j])) % prime
-        assert np.array_equal(ntt.multiply(a, b), want % prime)
+        assert np.array_equal(negacyclic_product(ntt, a, b), want % prime)
 
 
 class TestGaloisPermutation:
@@ -155,7 +183,38 @@ class TestGaloisPermutation:
                 assert np.array_equal(via_coeffs, via_perm)
 
 
+def count_transforms(monkeypatch):
+    """Count every ``NttContext.forward`` / ``inverse`` call from now on."""
+    counts = {"ntt": 0}
+    for name in ("forward", "inverse"):
+        original = getattr(NttContext, name)
+
+        def counted(self, values, _original=original):
+            counts["ntt"] += 1
+            return _original(self, values)
+
+        monkeypatch.setattr(NttContext, name, counted)
+    return counts
+
+
 class TestRnsKernelsAgainstReference:
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+    def test_reduce_mod_matches_percent(self, dtype):
+        primes = generate_ntt_primes([20, 26, 30], 16)
+        column = np.array(primes, dtype=dtype).reshape(-1, 1)
+        rng = np.random.default_rng(17)
+        if dtype is np.uint64:
+            values = rng.integers(0, 2**63, size=(3, 64), dtype=np.uint64)
+            values[:, :4] = [0, 1, 2**64 - 1, 2**63]
+        else:
+            values = rng.integers(-(2**62), 2**62, size=(3, 64), dtype=np.int64)
+            values[:, :4] = [0, -1, -(2**63), 2**63 - 1]
+        for divisor in (column, dtype(primes[-1])):
+            want = values % divisor
+            got = reduce_mod(values.copy(), divisor)
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
+
     def test_add_sub_negate_on_boundary_residues(self):
         n = 16
         basis = RnsBasis(generate_ntt_primes([20, 23, 30], n), n)
@@ -338,6 +397,56 @@ class TestMultiplyPlainAgainstReference:
                 scheme["evaluator"].multiply_plain(cipher, plain)
 
 
+class TestMultiplyAgainstReference:
+    """``Evaluator.multiply`` transforms each operand polynomial once: 7
+    transforms per prime (4 forward, 3 inverse), 5 for a square; the result
+    matches the tensor product built from ``RnsPolynomial.multiply``."""
+
+    N = 1024
+    SCALE = 2.0**24
+
+    @pytest.fixture(scope="class")
+    def scheme(self):
+        context = CkksContext(self.N, [26, 26, 26, 30], enforce_security=False)
+        keygen = KeyGenerator(context, seed=9)
+        return Encryptor(context, keygen.create_public_key(), seed=10), Evaluator(context)
+
+    @staticmethod
+    def _reference(a, b):
+        (a0, a1), (b0, b1) = a.polys, b.polys
+        return [a0.multiply(b0), a0.multiply(b1).add(a1.multiply(b0)), a1.multiply(b1)]
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_bit_exact_with_polynomial_products(self, scheme, level):
+        encryptor, evaluator = scheme
+        rng = np.random.default_rng(level)
+        a, b = (
+            encryptor.encode_and_encrypt(rng.uniform(-1, 1, self.N // 2), self.SCALE, level)
+            for _ in range(2)
+        )
+        for left, right in ((a, b), (a, a)):
+            product = evaluator.multiply(left, right)
+            assert product.scale == left.scale * right.scale
+            assert product.level == level
+            want = self._reference(left, right)
+            assert len(product.polys) == len(want)
+            for got, expected in zip(product.polys, want):
+                assert np.array_equal(got.residues, expected.residues)
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_transform_counts(self, scheme, monkeypatch, level):
+        encryptor, evaluator = scheme
+        a = encryptor.encode_and_encrypt(0.5, self.SCALE, level)
+        b = encryptor.encode_and_encrypt(0.25, self.SCALE, level)
+        primes = len(a.basis)
+        counts = count_transforms(monkeypatch)
+        evaluator.multiply(a, b)
+        assert counts["ntt"] == 7 * primes
+        counts["ntt"] = 0
+        evaluator.multiply(a, a)
+        assert counts["ntt"] == 5 * primes
+
+
 class TestStaticKeyOperands:
     """Encrypt and decrypt transform the static key operands once, cached.
 
@@ -356,19 +465,6 @@ class TestStaticKeyOperands:
         keygen = KeyGenerator(context, seed=8)
         return context, keygen.secret_key, keygen.create_public_key()
 
-    @staticmethod
-    def _count_transforms(monkeypatch):
-        counts = {"ntt": 0}
-        for name in ("forward", "inverse"):
-            original = getattr(NttContext, name)
-
-            def counted(self, values, _original=original):
-                counts["ntt"] += 1
-                return _original(self, values)
-
-            monkeypatch.setattr(NttContext, name, counted)
-        return counts
-
     @pytest.mark.parametrize("level", [0, 2])
     def test_encrypt_and_decrypt_transform_counts(self, scheme, monkeypatch, level):
         context, secret_key, public_key = scheme
@@ -379,7 +475,7 @@ class TestStaticKeyOperands:
         primes = len(plain.poly.basis)
         # Warm the per-basis key caches, then count one steady-state call each.
         decryptor.decrypt_poly(encryptor.encrypt(plain))
-        counts = self._count_transforms(monkeypatch)
+        counts = count_transforms(monkeypatch)
         cipher = encryptor.encrypt(plain)
         assert counts["ntt"] == 3 * primes
         counts["ntt"] = 0
@@ -422,6 +518,51 @@ def test_ckks_kernels_use_no_masked_ufuncs():
             if isinstance(node, ast.Call) and any(kw.arg == "where" for kw in node.keywords):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, f"where= keyword calls in repro/ckks: {offenders}"
+
+
+#: Kernels whose reductions must go through ``reduce_mod`` (floor division
+#: by a scalar or a prime column), never ``%``: one hardware divide per
+#: element was the measured cost of ``%``.
+DIVIDE_FREE_KERNELS = {
+    "ntt.py": {
+        "reduce_mod", "_butterfly", "NttContext._transform", "NttContext._gathered",
+        "NttContext.forward", "NttContext.inverse",
+    },
+    "rns.py": {
+        "RnsPolynomial.from_int64_coefficients", "RnsPolynomial.multiply_ntt",
+        "RnsPolynomial.divide_and_round_last",
+    },
+    "evaluator.py": {
+        "Evaluator.multiply", "Evaluator.multiply_plain", "Evaluator._key_switch_decomposed",
+    },
+    "encryptor.py": {"Encryptor.encrypt"},
+    "decryptor.py": {"Decryptor.decrypt_poly"},
+}
+
+
+def test_ckks_kernels_reduce_without_percent():
+    offenders, found = [], set()
+    for filename, names in DIVIDE_FREE_KERNELS.items():
+        path = CKKS_SOURCES / filename
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [(node, node.name) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        scopes += [
+            (method, f"{node.name}.{method.name}")
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for method in node.body if isinstance(method, ast.FunctionDef)
+        ]
+        for node, name in scopes:
+            if name not in names:
+                continue
+            found.add((filename, name))
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.BinOp, ast.AugAssign)) and isinstance(inner.op, ast.Mod):
+                    offenders.append(f"{filename}:{inner.lineno} in {name}")
+    expected = {
+        (filename, name) for filename, names in DIVIDE_FREE_KERNELS.items() for name in names
+    }
+    assert found == expected, f"kernels not found: {sorted(expected - found)}"
+    assert not offenders, f"% reductions in CKKS kernels: {offenders}"
 
 
 def test_profile_splits_ntt_cost_into_count_and_unit_cost():

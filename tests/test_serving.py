@@ -910,8 +910,8 @@ class TestSloScheduling:
         # tight never lingers; relaxed always takes the full window.
         assert linger_budget("tight", 0.5, 0.001, 1.0) == 0.0
         assert linger_budget("relaxed", 0.5, 0.001, 1.0) == 0.5
-        # standard is capped by its deadline slack after execution...
-        assert linger_budget("standard", 0.5, 0.3, 0.1) == pytest.approx(0.2)
+        # standard is capped by half its deadline slack after execution...
+        assert linger_budget("standard", 0.5, 0.3, 0.1) == pytest.approx(0.1)
         # ... stays solo (not negative) when slack just covers execution...
         assert linger_budget("standard", 0.5, 0.1, 0.1) == 0.0
         assert linger_budget("standard", 0.5, 0.05, 0.1) == 0.0
